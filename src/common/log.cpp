@@ -21,9 +21,8 @@ void log_message(LogLevel level, const std::string& msg) {
     case LogLevel::kWarn: tag = "WARN"; break;
     case LogLevel::kError: tag = "ERROR"; break;
   }
-  // Prefix the thread's run-context tag (the job a sweep worker / System
-  // cluster owner is simulating) so interleaved worker output is
-  // attributable.
+  // Prefix the thread's run-context tag (the job a sweep worker or System
+  // cluster is simulating) so interleaved worker output is attributable.
   std::string job = run_context_tag();
   if (job.empty()) {
     std::fprintf(stderr, "[saris:%s] %s\n", tag, msg.c_str());

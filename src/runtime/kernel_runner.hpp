@@ -50,7 +50,8 @@ struct RunConfig {
   /// consult it. Null — the default — is provably inert (bit-identity
   /// test-enforced).
   FaultPlan* faults = nullptr;
-  /// Max relative error accepted vs the golden reference. Covers
+  /// Max relative error accepted vs the golden reference (each element's
+  /// error relative to the tile's largest output, see max_rel_error). Covers
   /// reassociation rounding, which is data-dependent: cancellation in the
   /// reordered sums of the widest (3-D, 27-point) codes reaches a few
   /// 1e-11 on decorrelated random inputs, still ~5 orders of magnitude

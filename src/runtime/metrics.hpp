@@ -34,7 +34,7 @@ struct RunMetrics {
   double dma_util = 0.0;  ///< achieved/peak DMA bandwidth while active
   u64 dma_bytes = 0;
 
-  // Verification.
+  // Verification: max_rel_error against the golden reference.
   double max_rel_err = 0.0;
 
   // Host-side wall-clock time spent inside the compute-window cycle loop

@@ -10,6 +10,39 @@
 
 namespace saris {
 
+namespace {
+
+/// Calls f(x, y, z) for every interior element in z -> y -> x order until f
+/// returns true; returns whether it did.
+template <typename F>
+bool scan_interior(const StencilCode& sc, F&& f) {
+  u32 r = sc.radius;
+  u32 zlo = (sc.dims == 3) ? r : 0;
+  u32 zhi = (sc.dims == 3) ? sc.tile_nz - r : 1;
+  for (u32 z = zlo; z < zhi; ++z) {
+    for (u32 y = r; y < sc.tile_ny - r; ++y) {
+      for (u32 x = r; x < sc.tile_nx - r; ++x) {
+        if (f(x, y, z)) return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// The denominator of every element's relative error: the largest interior
+/// |want| of the tile. An element's own magnitude would not do — outputs
+/// that cancel to near zero carry the rounding error of their large terms.
+double error_scale(const StencilCode& sc, const Grid<>& want) {
+  double scale = 1e-30;
+  scan_interior(sc, [&](u32 x, u32 y, u32 z) {
+    scale = std::max(scale, std::fabs(want.at(x, y, z)));
+    return false;
+  });
+  return scale;
+}
+
+}  // namespace
+
 double reference_point(const StencilCode& sc,
                        const std::vector<Grid<>>& inputs,
                        const std::vector<double>& coeffs, u32 x, u32 y,
@@ -69,62 +102,40 @@ void reference_step(const StencilCode& sc, const std::vector<Grid<>>& inputs,
                     const std::vector<double>& coeffs, Grid<>& out) {
   SARIS_CHECK(inputs.size() >= sc.n_inputs, "missing input arrays");
   SARIS_CHECK(coeffs.size() == sc.n_coeffs, "coefficient count mismatch");
-  u32 r = sc.radius;
-  u32 zlo = (sc.dims == 3) ? r : 0;
-  u32 zhi = (sc.dims == 3) ? sc.tile_nz - r : 1;
-  for (u32 z = zlo; z < zhi; ++z) {
-    for (u32 y = r; y < sc.tile_ny - r; ++y) {
-      for (u32 x = r; x < sc.tile_nx - r; ++x) {
-        out.at(x, y, z) = reference_point(sc, inputs, coeffs, x, y, z);
-      }
-    }
-  }
+  scan_interior(sc, [&](u32 x, u32 y, u32 z) {
+    out.at(x, y, z) = reference_point(sc, inputs, coeffs, x, y, z);
+    return false;
+  });
 }
 
-double max_rel_error(const StencilCode& sc, const Grid<>& a, const Grid<>& b) {
-  u32 r = sc.radius;
-  u32 zlo = (sc.dims == 3) ? r : 0;
-  u32 zhi = (sc.dims == 3) ? sc.tile_nz - r : 1;
+double max_rel_error(const StencilCode& sc, const Grid<>& got,
+                     const Grid<>& want) {
+  const double scale = error_scale(sc, want);
   double worst = 0.0;
-  for (u32 z = zlo; z < zhi; ++z) {
-    for (u32 y = r; y < sc.tile_ny - r; ++y) {
-      for (u32 x = r; x < sc.tile_nx - r; ++x) {
-        double va = a.at(x, y, z);
-        double vb = b.at(x, y, z);
-        double denom = std::max({std::fabs(va), std::fabs(vb), 1e-30});
-        worst = std::max(worst, std::fabs(va - vb) / denom);
-      }
-    }
-  }
-  return worst;
+  scan_interior(sc, [&](u32 x, u32 y, u32 z) {
+    const double err = std::fabs(got.at(x, y, z) - want.at(x, y, z));
+    // A NaN output is the worst error there is: keep it and stop.
+    worst = std::isnan(err) ? err : std::max(worst, err);
+    return std::isnan(err);
+  });
+  return worst / scale;
 }
 
 VerifyMiss first_miss(const StencilCode& sc, const Grid<>& got,
                       const Grid<>& want, double tolerance) {
-  u32 r = sc.radius;
-  u32 zlo = (sc.dims == 3) ? r : 0;
-  u32 zhi = (sc.dims == 3) ? sc.tile_nz - r : 1;
+  const double scale = error_scale(sc, want);
   VerifyMiss m;
-  for (u32 z = zlo; z < zhi; ++z) {
-    for (u32 y = r; y < sc.tile_ny - r; ++y) {
-      for (u32 x = r; x < sc.tile_nx - r; ++x) {
-        double va = got.at(x, y, z);
-        double vb = want.at(x, y, z);
-        double denom = std::max({std::fabs(va), std::fabs(vb), 1e-30});
-        double rel = std::fabs(va - vb) / denom;
-        if (rel > tolerance) {
-          m.found = true;
-          m.x = x;
-          m.y = y;
-          m.z = z;
-          m.got = va;
-          m.want = vb;
-          m.rel_err = rel;
-          return m;
-        }
-      }
-    }
-  }
+  m.found = scan_interior(sc, [&](u32 x, u32 y, u32 z) {
+    const double rel = std::fabs(got.at(x, y, z) - want.at(x, y, z)) / scale;
+    if (rel <= tolerance) return false;  // NaN is a miss
+    m.x = x;
+    m.y = y;
+    m.z = z;
+    m.got = got.at(x, y, z);
+    m.want = want.at(x, y, z);
+    m.rel_err = rel;
+    return true;
+  });
   return m;
 }
 

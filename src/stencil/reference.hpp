@@ -21,13 +21,17 @@ double reference_point(const StencilCode& sc,
                        const std::vector<Grid<>>& inputs,
                        const std::vector<double>& coeffs, u32 x, u32 y, u32 z);
 
-/// Max relative error over the interior between two grids.
-double max_rel_error(const StencilCode& sc, const Grid<>& a, const Grid<>& b);
+/// Max relative error over the interior of `got` vs `want`. Each element's
+/// error |got - want| is relative to the tile's largest interior |want|,
+/// not to the element's own magnitude, so outputs that cancel to near zero
+/// are held to the same absolute bound as the rest of the tile.
+double max_rel_error(const StencilCode& sc, const Grid<>& got,
+                     const Grid<>& want);
 
 /// First interior element (in max_rel_error's z -> y -> x scan order) whose
-/// relative error exceeds `tolerance`. Drives the verification-miss
-/// diagnostics: the element pins down the owning core and thus the program
-/// to disassemble.
+/// relative error, measured as in max_rel_error, exceeds `tolerance`.
+/// Drives the verification-miss diagnostics: the element pins down the
+/// owning core and thus the program to disassemble.
 struct VerifyMiss {
   bool found = false;
   u32 x = 0, y = 0, z = 0;

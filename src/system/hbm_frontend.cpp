@@ -54,8 +54,8 @@ void HbmFrontend::begin_cycle() {
   if (!limited_) return;
 
   // Latch demand: a port wants bandwidth iff its cluster's DMA has work
-  // (job active, queued, or words in flight). Reading the DMAs here is safe
-  // — begin_cycle is the serial point between cycles.
+  // (job active, queued, or words in flight), as of the end of the last
+  // cycle.
   for (auto& p : ports_) {
     p->demand_ = !p->quarantined_ &&
                  (p->client_ ? !p->client_->idle() : p->manual_demand_);
@@ -63,8 +63,7 @@ void HbmFrontend::begin_cycle() {
 
   // An active injected HBM-throttle window scales this cycle's fresh budget
   // to its keep-percent (0 = blackout: every demanding DMA word is denied
-  // until the window passes). begin_cycle is the serial point, so querying
-  // the shared plan here is race-free and identical under parallel ticking.
+  // until the window passes).
   u64 rate = rate_fp_;
   if (faults_) rate = rate * faults_->hbm_keep_percent(cycles_) / 100;
 

@@ -9,14 +9,13 @@
 // more words than its grants stalls and retries — that is the cross-cluster
 // contention the analytic scale-out model approximates with a fair share.
 //
-// Determinism: credits are dealt at the cycle boundary (begin_cycle, a
-// serial point), each port's credits are consumed only by its own cluster's
-// DMA during the tick, and the deal order is fixed by cluster id and the
-// rotation counter — so parallel cluster ticking is bit-identical to serial.
+// Determinism: credits are dealt at the cycle boundary (begin_cycle), each
+// port's credits are consumed only by its own cluster's DMA during the
+// tick, and the deal order is fixed by cluster id and the rotation counter.
 //
 // Ports carry an address window ([cluster_id * arena, +arena)): any word
-// access outside the owning cluster's arena aborts, which is what makes
-// concurrent cluster ticks race-free on the shared (chunk-lazy) memory.
+// access outside the owning cluster's arena aborts, so no cluster can
+// touch another's data in the shared (chunk-lazy) memory.
 #pragma once
 
 #include <memory>
@@ -106,8 +105,7 @@ class HbmFrontend {
 
   /// Refresh per-port word credits for the coming cycle: round-robin deal
   /// of the cycle's bandwidth budget across demanding ports. Must be called
-  /// exactly once per system cycle, before any cluster ticks, from a single
-  /// thread (the System's per-cycle barrier point).
+  /// exactly once per system cycle, before any cluster ticks.
   void begin_cycle();
 
   /// Aggregate HBM bandwidth in bytes per compute-clock cycle

@@ -8,7 +8,6 @@
 #include "common/run_context.hpp"
 #include "fault/fault_plan.hpp"
 #include "runtime/plan_cache.hpp"
-#include "runtime/sweep.hpp"
 #include "stencil/reference.hpp"
 
 namespace saris {
@@ -122,19 +121,17 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
                          "tile)");
 
   // ---- per-cluster tile-streaming state ----
-  // Everything below is owned by the worker that ticks cluster g (or the
-  // single serial loop): the tile state machine advances inside after_tick,
-  // which System::run_until runs on g's owner right after each tick.
+  // The tile state machine advances inside after_tick, which
+  // System::run_until runs right after each tick of cluster g.
   struct TileState {
     u32 cur_tile = 0;
     /// System cycles this cluster ticked before its current tile was
     /// staged. The cluster ticks every system cycle until it finishes its
     /// last tile, so ticks_base + cluster.now() is the current system
-    /// cycle — computed without reading the (batch-granular) system clock,
-    /// which keeps every stamp bit-identical across batch sizes.
+    /// cycle, counted from the run's start.
     Cycle ticks_base = 0;
     Cycle window = kNotYet;  ///< current tile's halt, cluster-local
-    bool finished = false;   ///< all tiles done; later ticks are no-ops
+    bool finished = false;   ///< all tiles done (or quarantined)
     u64 granted_base = 0;    ///< port granted_bytes at current tile start
     u64 denied_base = 0;     ///< port denied_grants at current tile start
     std::vector<u64> last_useful;
@@ -162,9 +159,9 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
 
   auto stage_tile = [&](u32 g, u32 t) {
     Cluster& cl = sys.cluster(g);
-    // Tag the owning thread with the (cluster, tile)'s identity for the
-    // duration of staging — check_artifact raises carry it, and any CHECK
-    // or log line names the shard that produced it.
+    // Tag the thread with the (cluster, tile)'s identity for the duration
+    // of staging — check_artifact raises carry it, and any CHECK or log
+    // line names the shard that produced it.
     RunContextScope scope(sc.name, variant_name(ck.variant),
                           system_tile_seed(cfg.run.seed, g, t), g);
     const KernelIO& io = ios[static_cast<std::size_t>(g) * tiles + t];
@@ -185,10 +182,9 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   // both halted and drained, finish the tile (verify + extract metrics,
   // including the flop-count invariant — a degenerate artifact fails here
   // loudly instead of producing silently zeroed, unverified metrics), then
-  // re-arm + restage the next tile or retire the cluster. Runs on the
-  // worker that owns g; touches only cluster-g state (and this cluster's
-  // slots of the metrics matrices). Returns true when a tile was finished
-  // (callers loop: the restaged tile could itself be trivially done).
+  // re-arm + restage the next tile or retire the cluster. Returns true when
+  // a tile was finished (callers loop: the restaged tile could itself be
+  // trivially done).
   auto try_complete = [&](u32 g) -> bool {
     TileState& ts = st[g];
     Cluster& cl = sys.cluster(g);
@@ -237,9 +233,7 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   // bandwidth share flows to the survivors, and its remaining tiles are
   // abandoned (kNotYet stamps). The recorded error is re-contextualized
   // with the cluster id and tile seed when the inner raise site did not
-  // know them. Runs on g's owner thread; the port flag is only read at the
-  // frontend's serial point, which the per-boundary barrier orders after
-  // any tick-phase write.
+  // know them. The port flag takes effect at the next cycle's credit deal.
   auto quarantine = [&](u32 g, const SimError& e) {
     TileState& ts = st[g];
     const u64 tile_seed = system_tile_seed(cfg.run.seed, g, ts.cur_tile);
@@ -298,21 +292,16 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   // stages the next tile, so the next system cycle already ticks the new
   // tile — reloads overlap with every other cluster's progress.
   auto done = [&](u32 g) { return st[g].finished; };
-  auto may_spawn_dma = [&](u32 g) {
-    return !st[g].finished && st[g].cur_tile + 1 < tiles;
-  };
-  // after_tick runs on worker threads under run_until's no-escaping-
-  // exceptions contract: every run-level SimError of this cluster — the
-  // fault hooks' raises, a verify miss or flop-invariant breach inside
-  // try_complete, a bad restage — is caught here and resolved as a
-  // quarantine; only the policy decides later whether it surfaces.
+  // Every run-level SimError of this cluster — the fault hooks' raises, a
+  // verify miss or flop-invariant breach inside try_complete, a bad
+  // restage — is caught here and resolved as a quarantine, so the other
+  // clusters keep ticking; only the policy decides later whether it
+  // surfaces.
   auto after_tick = [&](u32 g) {
     TileState& ts = st[g];
-    if (ts.finished) return;  // trailing ticks of a batched boundary
     try {
       if (faults) {
-        // Fault hooks, addressed by the cluster's own accumulated tick
-        // count — batch- and thread-schedule-independent.
+        // Fault hooks, addressed in system cycles since the run's start.
         const Cycle sys_now = ts.ticks_base + sys.cluster(g).now();
         if (faults->stall_due(g, sys_now)) {
           SARIS_RAISE(SimErrc::kClusterStall, sys_now,
@@ -335,17 +324,12 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
     }
   };
 
-  u32 threads = 1;
-  if (cfg.parallel) {
-    threads = sweep_thread_count(cfg.threads, g_count);
-  }
   const std::string label =
       sc.name + std::string("/") + variant_name(ck.variant);
   // The hang guard budgets each tile round; a T-tile stream gets T budgets.
   const Cycle budget = cfg.run.max_cycles * static_cast<Cycle>(tiles);
   auto wall0 = std::chrono::steady_clock::now();
-  sys.run_until(done, threads, budget, label, after_tick, cfg.batch,
-                may_spawn_dma);
+  sys.run_until(done, budget, label, after_tick);
   double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();
@@ -353,8 +337,7 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   // ---- resolve the fault policy ----
   // kRaise: the survivors were allowed to finish (their state is consistent
   // for the caller's post-mortem), but the run as a whole fails with the
-  // first quarantined cluster's typed error — cluster-id order, so the
-  // raised error is deterministic however the workers raced.
+  // first quarantined cluster's typed error, in cluster-id order.
   if (cfg.on_error == SystemFaultPolicy::kRaise) {
     for (u32 g = 0; g < g_count; ++g) {
       if (st[g].error) throw SimError(*st[g].error);
@@ -403,9 +386,7 @@ SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
   if (limited && sm.cycles > 0) {
     // All utilization ratios share HbmFrontend::utilization_of — measured
     // against the frontend's 16.16 budget over tick-exact windows, so they
-    // are <= 1 and independent of the barrier batch size (the frontend's
-    // own cycle counter can overshoot the last completion by up to
-    // batch - 1 dealt-but-unused cycles).
+    // are <= 1.
     sm.hbm_utilization =
         sys.hbm().utilization_of(sm.hbm_granted_bytes, sm.cycles);
     // Phase windows are chosen so every attributed byte provably lies
@@ -476,8 +457,8 @@ SystemRunMetrics run_system_kernel(const StencilCode& sc,
       }
       io.coeffs = sc.default_coeffs();
       if (cfg.run.verify) {
-        // Precomputed host-side (and memoized per seed), so the cycle
-        // loop's workers never touch the reference memo.
+        // Precomputed host-side (and memoized per seed) before the cycle
+        // loop starts.
         golden_refs.push_back(reference_for_seed(sc, seed, &io.inputs));
         goldens.push_back(golden_refs.back().get());
       }

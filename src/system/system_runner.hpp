@@ -23,9 +23,7 @@
 //    (same seed, same artifact, same cycle-for-cycle schedule), and every
 //    tile t of a 1-cluster run is bit-identical to a fresh run_kernel with
 //    system_tile_seed(seed, 0, t) — the re-arm contract;
-//  - parallel = true (cluster ticking on worker threads) is bit-identical
-//    to serial ticking for any G and T;
-//  - batch > 1 (batched-barrier ticking) is bit-identical to batch = 1.
+//  - a System reused across runs is bit-identical to a fresh one.
 // Fault handling: a run-level SimError on one cluster (injected stall,
 // verify miss, bad staging) does not tear the system run down. Under the
 // default kQuarantine policy the faulted cluster is quarantined mid-run —
@@ -66,22 +64,11 @@ struct SystemRunConfig {
   /// Arbitrate shared-memory bandwidth (see SystemConfig::hbm_limit; forced
   /// off at G=1 either way).
   bool hbm_limit = true;
-  /// Tick clusters on a worker pool (per-boundary HBM barrier) instead of
-  /// serially. Results are bit-identical either way.
-  bool parallel = false;
-  /// Worker count when parallel (0 = SARIS_SWEEP_THREADS / hardware
-  /// concurrency, clamped to G).
-  u32 threads = 0;
   u64 arena_bytes = 16ull << 20;  ///< per-cluster shared-memory window
   /// T: tiles streamed back-to-back through every cluster (>= 1). Tile 0 of
   /// each cluster is staged up front; later tiles restage on a re-armed
   /// cluster the moment the previous tile drains.
   u32 tiles = 1;
-  /// Batched-barrier ticking: run up to this many cycles between the
-  /// System's serial synchronization points when legal (see
-  /// System::run_until — demand-free spans, or the whole run when the
-  /// frontend is unarbitrated). 1 = per-cycle. Bit-identical for any value.
-  u32 batch = 1;
   /// Reaction to a cluster's run-level SimError (see the file comment).
   /// run.faults, when set, is the system-wide fault plan: it drives the
   /// HBM frontend, every cluster's DMA, and the per-cluster stall/bit-flip
@@ -113,10 +100,9 @@ struct SystemRunMetrics {
   std::vector<std::vector<Cycle>> tiles_window;
   /// Cluster-local tile latency (staging -> halt + DMA drain).
   std::vector<std::vector<Cycle>> tiles_latency;
-  /// System cycle at which each tile was staged / completed. Restaging is a
-  /// zero-time host operation, so tiles_start[g][t] ==
-  /// tiles_done[g][t-1]; both stamps are batch-independent (derived from
-  /// the cluster's own tick count, not the batched system clock).
+  /// System cycle (counted from the run's start) at which each tile was
+  /// staged / completed. Restaging is a zero-time host operation, so
+  /// tiles_start[g][t] == tiles_done_sys[g][t-1].
   std::vector<std::vector<Cycle>> tiles_start;
   std::vector<std::vector<Cycle>> tiles_done_sys;
   /// HBM bytes granted to / word grants denied for the cluster's port
@@ -189,12 +175,11 @@ u64 system_cluster_seed(u64 seed, u32 g);
 u64 system_tile_seed(u64 seed, u32 g, u32 t);
 
 /// Execute stage: stage ios[g * cfg.tiles + t] into cluster g as its tile
-/// t, run the interleaved cycle loop (parallel when cfg.parallel, batched
-/// when cfg.batch > 1), verify each tile against goldens[g * cfg.tiles + t]
-/// (or recompute from its io), extract per-tile metrics. Clusters are
-/// re-armed in place between tiles (and up front, so `sys` may be reused
-/// across calls); ios must have one entry per (cluster, tile). goldens may
-/// be empty (= all null).
+/// t, run the interleaved cycle loop, verify each tile against
+/// goldens[g * cfg.tiles + t] (or recompute from its io), extract per-tile
+/// metrics. Clusters are re-armed in place between tiles (and up front, so
+/// `sys` may be reused across calls); ios must have one entry per (cluster,
+/// tile). goldens may be empty (= all null).
 SystemRunMetrics execute_system_kernel(const CompiledKernel& ck, System& sys,
                                        const SystemRunConfig& cfg,
                                        std::vector<KernelIO>& ios,

@@ -5,6 +5,7 @@
 
 #include "runtime/kernel_runner.hpp"
 #include "stencil/codes.hpp"
+#include "system/system_runner.hpp"
 
 namespace saris {
 namespace {
@@ -45,6 +46,22 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) +
              std::string("_") + variant_name(std::get<1>(info.param));
     });
+
+TEST(KernelContract, OutputsThatCancelToNearZeroVerify) {
+  // This seed's j2d5pt tile has an output that cancels to ~3.6e-8, whose
+  // rounding error is 1.9e-10 of its own magnitude but far below the
+  // tile's scale. It is tile 2 of cluster 4 in a system run seeded 1001.
+  const u64 seed = 4354689962983359199ull;
+  EXPECT_EQ(system_tile_seed(1001, 4, 2), seed);
+  const StencilCode& sc = code_by_name("j2d5pt");
+  for (KernelVariant v : {KernelVariant::kBase, KernelVariant::kSaris}) {
+    RunConfig cfg;
+    cfg.variant = v;
+    cfg.seed = seed;
+    RunMetrics m = run_kernel(sc, cfg);
+    EXPECT_LE(m.max_rel_err, cfg.tolerance) << variant_name(v);
+  }
+}
 
 TEST(KernelContract, SarisFasterThanBase) {
   // The headline claim on the cheapest code: saris beats base clearly.

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "stencil/codes.hpp"
 #include "stencil/grid.hpp"
@@ -286,6 +287,49 @@ TEST(Reference, MaxRelErrorDetectsMismatch) {
   b.at(10, 10) = 1.0;
   b.at(0, 0) = 99.0;
   EXPECT_DOUBLE_EQ(max_rel_error(sc, a, b), 0.0);
+}
+
+TEST(Reference, ErrorIsRelativeToTheTileScale) {
+  // An output near zero is held to the tile's scale, not its own: an error
+  // of 1e-6 x the largest |want| fails on both the largest and the
+  // smallest-magnitude output, and first_miss names that element.
+  const StencilCode& sc = code_by_name("j2d5pt");
+  const Grid<> want = *reference_for_seed(sc, 7);
+  double scale = 0.0;
+  u32 big_x = 0, big_y = 0, small_x = 0, small_y = 0;
+  double small = 1e300;
+  for (u32 y = sc.radius; y < sc.tile_ny - sc.radius; ++y) {
+    for (u32 x = sc.radius; x < sc.tile_nx - sc.radius; ++x) {
+      const double v = std::fabs(want.at(x, y));
+      if (v > scale) {
+        scale = v;
+        big_x = x;
+        big_y = y;
+      }
+      if (v < small) {
+        small = v;
+        small_x = x;
+        small_y = y;
+      }
+    }
+  }
+  ASSERT_GT(scale, 0.0);
+  EXPECT_DOUBLE_EQ(max_rel_error(sc, want, want), 0.0);
+  EXPECT_FALSE(first_miss(sc, want, want, 1e-10).found);
+  for (auto [x, y] : {std::pair{big_x, big_y}, std::pair{small_x, small_y}}) {
+    Grid<> got = want;
+    got.at(x, y) += 1e-6 * scale;
+    EXPECT_NEAR(max_rel_error(sc, got, want), 1e-6, 1e-12);
+    const VerifyMiss miss = first_miss(sc, got, want, 1e-10);
+    ASSERT_TRUE(miss.found);
+    EXPECT_EQ(miss.x, x);
+    EXPECT_EQ(miss.y, y);
+    EXPECT_NEAR(miss.rel_err, 1e-6, 1e-12);
+  }
+  Grid<> nan_out = want;
+  nan_out.at(small_x, small_y) = std::nan("");
+  EXPECT_FALSE(max_rel_error(sc, nan_out, want) <= 1e-10);
+  EXPECT_TRUE(first_miss(sc, nan_out, want, 1e-10).found);
 }
 
 // ---- tiling / traffic ----
